@@ -63,8 +63,8 @@ race:
 determinism:
 	go test -run 'Resilience|ParallelMatchesSequential|ParallelAggregation|CodecDenseBitIdentical|CodecDeltaBitIdentical|TreeBitIdentical|BatchBitIdentical' -count=2 ./internal/fed/... ./internal/experiment/... ./internal/nn/... ./internal/core/... .
 
-# Extended fuzzing of the federation wire format (seed corpus always runs
-# as part of `make test`).
+# Extended fuzzing of the federation wire format and the exact accumulator
+# (seed corpora always run as part of `make test`).
 fuzz:
 	go test -fuzz=FuzzWireRoundTrip -fuzztime=30s ./internal/fed/
 	go test -fuzz=FuzzReadMessage -fuzztime=30s ./internal/fed/
@@ -72,3 +72,4 @@ fuzz:
 	go test -fuzz=FuzzDeltaRoundTrip -fuzztime=30s ./internal/fed/
 	go test -fuzz=FuzzQuantRoundTrip -fuzztime=30s ./internal/fed/
 	go test -fuzz=FuzzRelayFrame -fuzztime=30s ./internal/fed/
+	go test -fuzz=FuzzAccum -fuzztime=30s ./internal/nn/

@@ -83,6 +83,7 @@ type Server struct {
 	rejoins   int64
 	leaves    int64
 	acceptErr error
+	closed    bool // Close was called; read at each round boundary
 }
 
 // NewServer listens on addr (e.g. "127.0.0.1:0") for numClients clients and
@@ -111,7 +112,12 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // so running on silently would be lying about fault tolerance). Serve also
 // closes the listener itself on return, so Close after Serve merely
 // reports the double close.
-func (s *Server) Close() error { return s.ln.Close() }
+func (s *Server) Close() error {
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
+	return s.ln.Close()
+}
 
 // BytesSent returns the total bytes written to clients so far.
 func (s *Server) BytesSent() int64 {
@@ -424,8 +430,16 @@ func (ses *session) waitCohort() error {
 
 // admit moves reconnected clients into the pool; alive is false once the
 // listener is down and the rejoin guarantee is gone. Rejoins are batched
-// into the round's stats delta, not published per connection.
+// into the round's stats delta, not published per connection. A Close is
+// seen here directly, at the first round boundary after it returns, rather
+// than whenever the accept loop next runs and closes the join channel.
 func (ses *session) admit() (alive bool) {
+	ses.s.mu.Lock()
+	closed := ses.s.closed
+	ses.s.mu.Unlock()
+	if closed {
+		return false
+	}
 	for {
 		select {
 		case sc, ok := <-ses.joins:

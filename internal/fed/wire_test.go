@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"math"
 	"testing"
+
+	"fedpower/internal/nn"
 )
 
 func roundTrip(t *testing.T, m message) message {
@@ -114,6 +116,35 @@ func TestRoundTripPrecision(t *testing.T) {
 		rel := math.Abs(got.params[i]-params[i]) / math.Abs(params[i])
 		if rel > 1.0/(1<<22) {
 			t.Errorf("param %d relative error %v", i, rel)
+		}
+	}
+}
+
+// TestRelayNaNTallyCannotWrap feeds the relay decoder a hand-built frame
+// whose accumulator claims 2^32-1 NaN summands and merges it with an honest
+// sibling's NaN. A wrapping tally would reach zero and let the poisoned sum
+// read as finite; the merged sum must read NaN in either merge order.
+func TestRelayNaNTallyCannotWrap(t *testing.T) {
+	frame := []byte{
+		msgRelay, 1, 0, 0, 0, 1, 0, 0, 0, // header: round 1, one accumulator
+		1, 0, 0, 0, 13, 0, 0, 0, // leaves 1, block length 13
+		0x40,                   // non-finite tallies follow, empty limb span
+		0xff, 0xff, 0xff, 0xff, // nan
+		0, 0, 0, 0, // posInf
+		0, 0, 0, 0, // negInf
+	}
+	m, err := readMessage(bufio.NewReader(bytes.NewReader(frame)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	relayed := contribution{sums: m.sums, leaves: m.leaves}
+	honest := contribution{params: []float64{math.NaN()}, leaves: 1}
+	for _, order := range [][]contribution{{relayed, honest}, {honest, relayed}} {
+		acc := make([]nn.Accum, 1)
+		global := make([]float64, 1)
+		nn.MeanAccum(global, acc, accumulate(acc, order))
+		if !math.IsNaN(global[0]) {
+			t.Fatalf("merged relay NaN tally reads %v, want NaN", global[0])
 		}
 	}
 }

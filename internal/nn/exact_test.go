@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"bytes"
 	"math"
 	"math/big"
 	"math/rand"
@@ -165,6 +166,48 @@ func TestAccumOverflowAndNonFinite(t *testing.T) {
 	}
 }
 
+// sameAccum reports whether a and b hold the same sum: the same wire
+// encoding, the same Round() bits and the same non-finite tallies.
+func sameAccum(a, b *Accum) bool {
+	return bytes.Equal(a.AppendWire(nil), b.AppendWire(nil)) &&
+		math.Float64bits(a.Round()) == math.Float64bits(b.Round()) &&
+		a.nan == b.nan && a.posInf == b.posInf && a.negInf == b.negInf
+}
+
+// TestAccumTalliesSaturate pins that a non-finite tally never wraps back to
+// zero: a relayed sum claiming 2^32-1 NaNs merged with one honest NaN must
+// still read NaN, in Add and in AddAccum, in either merge order.
+func TestAccumTalliesSaturate(t *testing.T) {
+	hostile := []byte{accFlagNonFinite, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}
+	var relayed Accum
+	if n, err := DecodeAccumInto(&relayed, hostile); err != nil || n != len(hostile) {
+		t.Fatalf("decode consumed %d of %d bytes (%v)", n, len(hostile), err)
+	}
+	var honest Accum
+	honest.Add(0.5)
+	honest.Add(math.NaN())
+	honest.Add(math.Inf(-1))
+
+	viaAdd := relayed
+	viaAdd.Add(math.NaN())
+	viaAdd.Add(math.Inf(-1))
+	merged := relayed
+	merged.AddAccum(&honest)
+	reversed := honest
+	reversed.AddAccum(&relayed)
+	for _, c := range []struct {
+		name string
+		acc  *Accum
+	}{{"Add", &viaAdd}, {"AddAccum", &merged}, {"AddAccum reversed", &reversed}} {
+		if c.acc.nan != math.MaxUint32 || c.acc.negInf != math.MaxUint32 {
+			t.Errorf("%s: tallies nan=%d negInf=%d, want saturated", c.name, c.acc.nan, c.acc.negInf)
+		}
+		if got := c.acc.Round(); !math.IsNaN(got) {
+			t.Errorf("%s: Round() = %v, want NaN", c.name, got)
+		}
+	}
+}
+
 func TestAccumWireRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 500; trial++ {
@@ -193,7 +236,9 @@ func TestAccumWireRoundTrip(t *testing.T) {
 		if got != len(enc) {
 			t.Fatalf("trial %d: decoded %d of %d bytes", trial, got, len(enc))
 		}
-		if a != b {
+		// The live window is not canonical (decoding trims it), so compare
+		// the value: the re-encoding, the rounded reading and the tallies.
+		if !sameAccum(&a, &b) {
 			t.Fatalf("trial %d: wire round-trip changed the accumulator:\n%+v\n%+v", trial, a, b)
 		}
 		// Trailing bytes must be left unconsumed, not absorbed.

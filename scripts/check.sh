@@ -17,9 +17,13 @@
 #   6. fuzz smoke      — a short randomized pass (FUZZ_SMOKE seconds per
 #                        target, default 10) over the two hostile-input
 #                        decoders wirebound proves statically: readMessage
-#                        and the relay collect path; the checked-in
+#                        and the relay collect path; plus the exact
+#                        accumulator's differential fuzzer (FuzzAccum:
+#                        random Add/merge/relay-hop/hostile-frame programs
+#                        against a math/big model); the checked-in
 #                        regression seeds under internal/fed/testdata/fuzz
-#                        always run as part of step 4
+#                        and the FuzzAccum seed programs always run as
+#                        part of step 4
 #   7. bench compile   — every benchmark body runs once (-benchtime 1x), so
 #                        a benchmark that no longer compiles or panics on
 #                        its first iteration fails the gate instead of
@@ -77,9 +81,10 @@ go test -race ./...
 # hostile integer reaches an allocation unbounded; the fuzzer hammers the
 # same decode paths with mutated frames in case the model missed something.
 FUZZ_SMOKE="${FUZZ_SMOKE:-10}"
-echo "==> fuzz smoke (${FUZZ_SMOKE}s per wire decode target)"
+echo "==> fuzz smoke (${FUZZ_SMOKE}s per wire decode and accumulator target)"
 go test -run '^$' -fuzz 'FuzzReadMessage$' -fuzztime "${FUZZ_SMOKE}s" ./internal/fed/
 go test -run '^$' -fuzz 'FuzzRelayFrame$' -fuzztime "${FUZZ_SMOKE}s" ./internal/fed/
+go test -run '^$' -fuzz 'FuzzAccum$' -fuzztime "${FUZZ_SMOKE}s" ./internal/nn/
 
 # Benchmarks are not compiled by `go test` unless they run; one iteration of
 # each keeps the bench suite (and its gated hot paths) from bit-rotting.
